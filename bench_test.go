@@ -364,9 +364,11 @@ func BenchmarkHostParallel(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.TrackParallel(pair, p, core.Options{}, workers); err != nil {
+				prep, err := core.Prepare(pair, p)
+				if err != nil {
 					b.Fatal(err)
 				}
+				core.TrackPreparedParallel(prep, core.BuildSemiMap(prep), core.Options{}, workers)
 			}
 		})
 	}

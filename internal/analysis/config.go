@@ -57,25 +57,20 @@ func DefaultConfig() *Config {
 	return &Config{
 		KernelFuncs: set(
 			// core tracker inner loop
-			"trackPixel", "trackPixelFrom", "score",
+			"trackPixel", "trackPixelFrom", "trackPixelWindow", "score",
 			"preparePixel", "scoreHyp",
 			"accumulateA", "accumulateB",
 			"residualSum", "residualSumBounded", "rowResiduals",
-			"residualSumBoundedReassoc",
 			"solveMotion", "factorMotion", "solveFactored",
 			"symmetrize", "robustRefine",
-			// batch (multi-hypothesis) kernel — batch.go
-			"trackPixelBatchFrom", "scoreHypLanes", "scoreLanes",
-			"copyLaneRHS", "rowResidualsLane",
-			"residualSumBoundedLane", "residualSumBoundedLaneReassoc",
-			"solveFactoredLanes",
-			// build-tagged reference kernel (same hot-path discipline)
-			"scoreReference", "trackPixelFromReference",
+			// reference kernel, the bit-exactness oracle (same hot-path
+			// discipline)
+			"scoreReference", "trackPixelWindowReference",
 			// surface fit per-pixel path
 			"Fit",
 			// linear algebra per-elimination path
 			"Solve6", "Cholesky6", "AccumulateNormal",
-			"Factor6", "SolveFactored6", "SolveFactored6Lanes",
+			"Factor6", "SolveFactored6",
 		),
 		NarrowSinks: set(
 			"Set", "Fill", "SetScalar", "AddScalar", "MulScalar", "Broadcast",

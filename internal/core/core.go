@@ -26,6 +26,7 @@ import (
 	"fmt"
 
 	"sma/internal/grid"
+	"sma/internal/la"
 )
 
 // Params holds the neighborhood radii of the SMA algorithm. Window sizes
@@ -198,4 +199,27 @@ type Result struct {
 	// Motion optionally holds the six fitted affine motion parameters of
 	// the winning hypothesis per pixel (nil unless requested).
 	Motion []*grid.Grid
+}
+
+// newResult allocates a w×h result; keepMotion adds the six motion grids.
+func newResult(w, h int, keepMotion bool) *Result {
+	res := &Result{Flow: grid.NewVectorField(w, h), Err: grid.New(w, h)}
+	if keepMotion {
+		res.Motion = make([]*grid.Grid, 6)
+		for i := range res.Motion {
+			res.Motion[i] = grid.New(w, h)
+		}
+	}
+	return res
+}
+
+// set stores one pixel's winning hypothesis: offset, ε and, when the
+// motion grids exist, the fitted motion parameters. Drivers call it from
+// many workers at once; each pixel is written by exactly one.
+func (r *Result) set(x, y, hx, hy int, eps float64, theta la.Vec6) {
+	r.Flow.Set(x, y, float32(hx), float32(hy))
+	r.Err.Set(x, y, float32(eps))
+	for i, m := range r.Motion {
+		m.Set(x, y, float32(theta[i]))
+	}
 }

@@ -165,11 +165,13 @@ func TestTrackParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prep, err := Prepare(pair, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := BuildSemiMap(prep)
 	for _, workers := range []int{1, 3, 8} {
-		par, err := TrackParallel(pair, p, Options{KeepMotion: true}, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		par := TrackPreparedParallel(prep, sm, Options{KeepMotion: true}, workers)
 		if !par.Flow.Equal(seq.Flow) || !par.Err.Equal(seq.Err) {
 			t.Fatalf("workers=%d: parallel differs from sequential", workers)
 		}
@@ -178,13 +180,6 @@ func TestTrackParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("workers=%d: motion parameter %d differs", workers, i)
 			}
 		}
-	}
-}
-
-func TestTrackParallelRejectsNegativeWorkers(t *testing.T) {
-	s := synth.Thunderstorm(16, 16, 47)
-	if _, err := TrackParallel(Monocular(s.Frame(0), s.Frame(1)), contParams(), Options{}, -1); err == nil {
-		t.Fatal("negative workers accepted")
 	}
 }
 

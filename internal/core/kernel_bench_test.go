@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math"
 	"testing"
 
 	"sma/internal/synth"
@@ -65,49 +63,12 @@ func BenchmarkTrackPixel(b *testing.B) {
 	b.Run("reference", func(b *testing.B) {
 		prep, sm := benchPrep(b, testParams())
 		tr := newTracker(prep, sm, Options{})
+		tr.reference = true
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tr.trackPixelFromReference(16, 16, 0, 0)
+			tr.trackPixel(16, 16)
 		}
 	})
-}
-
-// BenchmarkScoreHypLanes isolates the batched b-pass against width-many
-// scalar scoreHyp calls: the contrast is the invariant-load amortization
-// the batch kernel exists for.
-func BenchmarkScoreHypLanes(b *testing.B) {
-	prep, sm := benchPrep(b, testParams())
-	for _, bw := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("width%d", bw), func(b *testing.B) {
-			tr := newTracker(prep, sm, Options{BatchHyps: bw})
-			tr.preparePixel(16, 16)
-			lhx := make([]int, bw)
-			lhy := make([]int, bw)
-			for l := 0; l < bw; l++ {
-				lhx[l] = l%3 - 1
-				lhy[l] = l/3 - 1
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tr.scoreHypLanes(16, 16, lhx, lhy, 0, 0, math.Inf(1), [6]float64{})
-			}
-		})
-	}
-}
-
-// BenchmarkTrackPixelBatch sweeps the batch width over the full
-// per-pixel search (prepare + scalar base hypothesis + batched sweep).
-func BenchmarkTrackPixelBatch(b *testing.B) {
-	prep, sm := benchPrep(b, testParams())
-	for _, bw := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("width%d", bw), func(b *testing.B) {
-			tr := newTracker(prep, sm, Options{BatchHyps: bw})
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tr.trackPixel(16, 16)
-			}
-		})
-	}
 }
 
 func BenchmarkTrackPrepared(b *testing.B) {

@@ -107,6 +107,166 @@ func TestEarlyExitBitIdentical(t *testing.T) {
 	}
 }
 
+// TestBatchKernelMatchesReference is TestOptimizedKernelMatchesReference
+// on a second scene seed. It keeps its name, and the batch=1 in its
+// subtest names, from when the raster search also had multi-hypothesis
+// batch widths; the scalar kernel is the only width left.
+func TestBatchKernelMatchesReference(t *testing.T) {
+	scenes := []struct {
+		name  string
+		frame func(w, h int, seed int64) *synth.Scene
+	}{
+		{"hurricane", synth.Hurricane},
+		{"thunderstorm", synth.Thunderstorm},
+	}
+	for _, sc := range scenes {
+		for _, semi := range []bool{false, true} {
+			for _, robust := range []bool{false, true} {
+				name := fmt.Sprintf("%s/semi=%v/robust=%v/batch=1", sc.name, semi, robust)
+				t.Run(name, func(t *testing.T) {
+					p := contParams()
+					if semi {
+						p = testParams()
+					}
+					s := sc.frame(20, 20, 137)
+					prep, err := Prepare(Monocular(s.Frame(0), s.Frame(1)), p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sm := BuildSemiMap(prep)
+					opt := Options{Robust: robust, KeepMotion: true}
+					ref := TrackPreparedReference(prep, sm, opt)
+					got := TrackPrepared(prep, sm, opt)
+					if !got.Flow.Equal(ref.Flow) {
+						t.Fatal("flow differs from reference kernel")
+					}
+					if !got.Err.Equal(ref.Err) {
+						t.Fatal("ε differs from reference kernel")
+					}
+					for i := range ref.Motion {
+						if !got.Motion[i].Equal(ref.Motion[i]) {
+							t.Fatalf("motion grid %d differs from reference kernel", i)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestBatchEarlyExitBitIdentical is TestEarlyExitBitIdentical on a
+// thunderstorm scene. Its name and the batch=1 in its subtest names are
+// kept from when the search also had multi-hypothesis batch widths.
+func TestBatchEarlyExitBitIdentical(t *testing.T) {
+	for _, semi := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batch=1/semi=%v", semi), func(t *testing.T) {
+			p := contParams()
+			if semi {
+				p = testParams()
+			}
+			s := synth.Thunderstorm(18, 18, 44)
+			prep, err := Prepare(Monocular(s.Frame(0), s.Frame(1)), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sm := BuildSemiMap(prep)
+			on := newTracker(prep, sm, Options{})
+			off := newTracker(prep, sm, Options{})
+			off.noEarlyExit = true
+			for y := 0; y < prep.H; y++ {
+				for x := 0; x < prep.W; x++ {
+					hx1, hy1, e1, th1 := on.trackPixelFrom(x, y, 0, 0)
+					hx2, hy2, e2, th2 := off.trackPixelFrom(x, y, 0, 0)
+					if hx1 != hx2 || hy1 != hy2 {
+						t.Fatalf("(%d,%d): argmin (%d,%d) with exit, (%d,%d) without",
+							x, y, hx1, hy1, hx2, hy2)
+					}
+					if math.Float64bits(e1) != math.Float64bits(e2) {
+						t.Fatalf("(%d,%d): ε %v with exit, %v without", x, y, e1, e2)
+					}
+					if th1 != th2 {
+						t.Fatalf("(%d,%d): θ differs: %v vs %v", x, y, th1, th2)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestWindowSearchMatchesReference holds the unified windowed search to
+// the reference window loop, bit for bit, away from the zero anchor: the
+// prior-guided path (trackPixelFrom, used by TrackGuided and
+// sequence.TrackTemporal) and explicit refine windows (trackPixelWindow,
+// used by the pyramid levels). Every pixel of the image is tracked, so
+// the windows cross the image border; the semi-fluid cases also straddle
+// or leave the semi-map's ±NZS window, where δ falls back to 0.
+func TestWindowSearchMatchesReference(t *testing.T) {
+	cases := []struct {
+		name   string
+		semi   bool
+		prior  bool // trackPixelFrom: ±NZS around the anchor, plus δ
+		ax, ay int  // anchor, scored first
+		// explicit window for the !prior cases
+		lox, hix, loy, hiy int
+	}{
+		{name: "cont/prior(3,-2)", prior: true, ax: 3, ay: -2},
+		{name: "cont/prior(-6,5)", prior: true, ax: -6, ay: 5},
+		{name: "cont/refine(1,0)", ax: 1, ay: 0, lox: -1, hix: 3, loy: -2, hiy: 2},
+		{name: "cont/clamped(-2,2)", ax: -2, ay: 2, lox: -2, hix: 0, loy: 0, hiy: 2},
+		{name: "semi/prior(2,1)", semi: true, prior: true, ax: 2, ay: 1},
+		{name: "semi/prior(5,-5)", semi: true, prior: true, ax: 5, ay: -5},
+		{name: "semi/refine(2,-2)", semi: true, ax: 2, ay: -2, lox: 0, hix: 4, loy: -4, hiy: 0},
+	}
+	for _, tc := range cases {
+		for _, robust := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/robust=%v", tc.name, robust), func(t *testing.T) {
+				p := contParams()
+				if tc.semi {
+					p = testParams()
+				}
+				s := synth.Hurricane(16, 16, 223)
+				prep, err := Prepare(Monocular(s.Frame(0), s.Frame(1)), p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sm := BuildSemiMap(prep)
+				opt := Options{Robust: robust}
+				fast := newTracker(prep, sm, opt)
+				ref := newTracker(prep, sm, opt)
+				ref.reference = true
+				search := func(tr *tracker, x, y int) (int, int, float64, la.Vec6) {
+					if tc.prior {
+						return tr.trackPixelFrom(x, y, tc.ax, tc.ay)
+					}
+					return tr.trackPixelWindow(x, y, tc.ax, tc.ay, tc.lox, tc.hix, tc.loy, tc.hiy)
+				}
+				moved := 0
+				for y := 0; y < prep.H; y++ {
+					for x := 0; x < prep.W; x++ {
+						hx1, hy1, e1, th1 := search(fast, x, y)
+						hx2, hy2, e2, th2 := search(ref, x, y)
+						if hx1 != hx2 || hy1 != hy2 {
+							t.Fatalf("(%d,%d): argmin (%d,%d), reference (%d,%d)", x, y, hx1, hy1, hx2, hy2)
+						}
+						if math.Float64bits(e1) != math.Float64bits(e2) {
+							t.Fatalf("(%d,%d): ε %v, reference %v", x, y, e1, e2)
+						}
+						if th1 != th2 {
+							t.Fatalf("(%d,%d): θ %v, reference %v", x, y, th1, th2)
+						}
+						if hx1 != tc.ax || hy1 != tc.ay {
+							moved++
+						}
+					}
+				}
+				if moved == 0 {
+					t.Fatal("every winner is the anchor: the case does not exercise the sweep")
+				}
+			})
+		}
+	}
+}
+
 // TestMotionFactorMatchesSolveMotion pins the hoisted factor-once path to
 // solveMotion on both branches: the plain elimination and the ridge
 // fallback for rank-deficient A.

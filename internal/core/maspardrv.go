@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"sma/internal/grid"
 	"sma/internal/maspar"
 )
 
@@ -196,15 +195,12 @@ func TrackMasPar(m *maspar.Machine, pair Pair, p Params, opt Options, scheme mas
 	// machine schedules it. Per-pixel arithmetic is shared with the
 	// sequential driver, so results match it bit for bit. HostWorkers
 	// splits each layer's PE sweep across goroutines (pixels are
-	// independent, so the worker count cannot change results).
+	// independent, so the worker count cannot change results). The grid
+	// writes stay spelled out inside the goroutine so smavet's
+	// goroutinecapture check sees that they are keyed by the worker's PE
+	// range.
 	sm := BuildSemiMap(prep)
-	res := &Result{Flow: grid.NewVectorField(prep.W, prep.H), Err: grid.New(prep.W, prep.H)}
-	if opt.KeepMotion {
-		res.Motion = make([]*grid.Grid, 6)
-		for i := range res.Motion {
-			res.Motion[i] = grid.New(prep.W, prep.H)
-		}
-	}
+	res := newResult(prep.W, prep.H, opt.KeepMotion)
 	nproc := m.Cfg.NProc()
 	workers := opt.HostWorkers
 	if workers < 1 {

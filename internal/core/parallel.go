@@ -4,35 +4,15 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-
-	"sma/internal/grid"
 )
-
-// TrackParallel runs the same tracking computation as TrackSequential
-// using host worker goroutines — the modern shared-memory analog of the
-// paper's data-parallel execution. Every pixel's computation is
-// independent (the precomputed geometry and semi-fluid mapping are
-// read-only), so the result is bit-identical to the sequential driver
-// regardless of the worker count.
-func TrackParallel(pair Pair, p Params, opt Options, workers int) (*Result, error) {
-	if workers < 0 {
-		return nil, fmt.Errorf("core: negative worker count %d", workers)
-	}
-	prep, err := Prepare(pair, p)
-	if err != nil {
-		return nil, err
-	}
-	sm := BuildSemiMap(prep)
-	return TrackPreparedParallel(prep, sm, opt, workers), nil
-}
 
 // TrackPreparedParallel runs the hypothesis search on already-prepared
 // geometry with worker goroutines claiming pixel tiles off a
 // work-stealing index (0 workers = GOMAXPROCS; tile size from
-// chooseTileSize unless Options.TileW/TileH override it). Tiles are
-// disjoint and the inputs read-only, so the result is bit-identical to
-// TrackPrepared at every worker count and tile size — the property the
-// streaming pipeline's parallel mode relies on.
+// chooseTileSize) — the modern shared-memory analog of the paper's
+// data-parallel execution. Tiles are disjoint and the inputs read-only,
+// so the result is bit-identical to TrackPrepared at every worker count
+// — the property the streaming pipeline's parallel mode relies on.
 func TrackPreparedParallel(prep *Prepared, sm *SemiMap, opt Options, workers int) *Result {
 	//smavet:allow errdiscard,ctxflow -- non-ctx compatibility wrapper: a deliberate uncancellable root, so the error is impossible
 	res, _ := TrackPreparedParallelCtx(context.Background(), prep, sm, opt, workers)
@@ -44,8 +24,8 @@ func TrackPreparedParallel(prep *Prepared, sm *SemiMap, opt Options, workers int
 // start, workers finish at most their current row each (forEachTileRow
 // polls ctx before every row), and the call returns (nil, ctx.Err()).
 // Completed runs are bit-identical to TrackPrepared at every worker
-// count and tile size — this is the cancellation point a serving
-// deadline threads down to.
+// count — this is the cancellation point a serving deadline threads
+// down to.
 func TrackPreparedParallelCtx(ctx context.Context, prep *Prepared, sm *SemiMap, opt Options, workers int) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background() //smavet:allow ctxflow -- nil-guard: a nil ctx documents "never cancel", and there is nothing to derive from
@@ -64,24 +44,16 @@ func TrackPreparedParallelCtx(ctx context.Context, prep *Prepared, sm *SemiMap, 
 		res, _, err := trackPyramidCtx(ctx, prep, opt, workers, false)
 		return res, err
 	}
-	w, h := prep.W, prep.H
-	res := &Result{Flow: grid.NewVectorField(w, h), Err: grid.New(w, h)}
-	if opt.KeepMotion {
-		res.Motion = make([]*grid.Grid, 6)
-		for i := range res.Motion {
-			res.Motion[i] = grid.New(w, h)
-		}
-	}
-	tw, th := opt.TileW, opt.TileH
-	if side := chooseTileSize(prep.P, w, h, workers); tw <= 0 {
-		tw = side
-		if th <= 0 {
-			th = side
-		}
-	} else if th <= 0 {
-		th = tw
-	}
-	g := newTileGrid(w, h, tw, th)
+	side := chooseTileSize(prep.P, prep.W, prep.H, workers)
+	return trackTiled(ctx, prep, sm, opt, workers, side, side)
+}
+
+// trackTiled runs the exhaustive search over tw×th pixel tiles. Tiling
+// is pure scheduling, so every tile shape yields the same bits; the
+// tile-shape tests sweep shapes through this seam.
+func trackTiled(ctx context.Context, prep *Prepared, sm *SemiMap, opt Options, workers, tw, th int) (*Result, error) {
+	res := newResult(prep.W, prep.H, opt.KeepMotion)
+	g := newTileGrid(prep.W, prep.H, tw, th)
 	err := forEachTileRow(ctx, g, workers, func() func(t tileRect, y int) {
 		// Each worker owns a tracker (scratch buffers are not shared);
 		// pixels are written to disjoint result cells, so any
@@ -90,13 +62,7 @@ func TrackPreparedParallelCtx(ctx context.Context, prep *Prepared, sm *SemiMap, 
 		return func(tile tileRect, y int) {
 			for x := tile.X0; x < tile.X1; x++ {
 				hx, hy, eps, theta := t.trackPixel(x, y)
-				res.Flow.Set(x, y, float32(hx), float32(hy))
-				res.Err.Set(x, y, float32(eps))
-				if opt.KeepMotion {
-					for i := range res.Motion {
-						res.Motion[i].Set(x, y, float32(theta[i]))
-					}
-				}
+				res.set(x, y, hx, hy, eps, theta)
 			}
 		}
 	})

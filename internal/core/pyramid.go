@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"sma/internal/grid"
-	"sma/internal/la"
 )
 
 // Coarse-to-fine multiresolution hypothesis search (ROADMAP item 3,
@@ -267,15 +266,9 @@ func trackPyramidCtx(ctx context.Context, prep *Prepared, opt Options, workers i
 func pyramidLevel(ctx context.Context, lp *Prepared, opt Options, workers int, prior *grid.VectorField,
 	baseRX, baseRY, capX, capY, refX, refY int, keepMotion bool, edge []bool, hyps *int64) (*Result, error) {
 	w, h := lp.W, lp.H
-	res := &Result{Flow: grid.NewVectorField(w, h), Err: grid.New(w, h)}
-	if keepMotion {
-		res.Motion = make([]*grid.Grid, 6)
-		for i := range res.Motion {
-			res.Motion[i] = grid.New(w, h)
-		}
-	}
-	tw, th := pyramidTileSize(lp.P, opt, w, h, workers)
-	g := newTileGrid(w, h, tw, th)
+	res := newResult(w, h, keepMotion)
+	side := chooseTileSize(lp.P, w, h, workers)
+	g := newTileGrid(w, h, side, side)
 	err := forEachTileRow(ctx, g, workers, func() func(t tileRect, y int) {
 		t := newTracker(lp, nil, opt)
 		return func(tile tileRect, y int) {
@@ -290,14 +283,13 @@ func pyramidLevel(ctx context.Context, lp *Prepared, opt Options, workers int, p
 					lox, hix = maxInt(cx-refX, -capX), minInt(cx+refX, capX)
 					loy, hiy = maxInt(cy-refY, -capY), minInt(cy+refY, capY)
 				}
-				hx, hy, eps, theta := t.trackPixelWindow(x, y, lox, hix, loy, hiy)
-				res.Flow.Set(x, y, float32(hx), float32(hy))
-				res.Err.Set(x, y, float32(eps))
-				if keepMotion {
-					for i := range res.Motion {
-						res.Motion[i].Set(x, y, float32(theta[i]))
-					}
-				}
+				// The anchor — zero displacement clamped into the window —
+				// makes a full ±NZS window enumerate exactly the
+				// exhaustive search's sequence, which is what keeps the
+				// full-radius configuration bit-identical to it.
+				ax, ay := clampInt(0, lox, hix), clampInt(0, loy, hiy)
+				hx, hy, eps, theta := t.trackPixelWindow(x, y, ax, ay, lox, hix, loy, hiy)
+				res.set(x, y, hx, hy, eps, theta)
 				if edge != nil {
 					edge[y*w+x] = (lox > -capX && hx == lox) || (hix < capX && hx == hix) ||
 						(loy > -capY && hy == loy) || (hiy < capY && hy == hiy)
@@ -350,8 +342,8 @@ func pyramidFallback(ctx context.Context, prep *Prepared, opt Options, workers i
 		return nil
 	}
 	perPixel := int64(prep.P.Hypotheses())
-	tw, th := pyramidTileSize(prep.P, opt, w, h, workers)
-	g := newTileGrid(w, h, tw, th)
+	side := chooseTileSize(prep.P, w, h, workers)
+	g := newTileGrid(w, h, side, side)
 	var extra int64
 	err := forEachTileRow(ctx, g, workers, func() func(t tileRect, y int) {
 		t := newTracker(prep, nil, opt)
@@ -362,13 +354,7 @@ func pyramidFallback(ctx context.Context, prep *Prepared, opt Options, workers i
 					continue
 				}
 				hx, hy, eps, theta := t.trackPixel(x, y)
-				res.Flow.Set(x, y, float32(hx), float32(hy))
-				res.Err.Set(x, y, float32(eps))
-				if res.Motion != nil {
-					for i := range res.Motion {
-						res.Motion[i].Set(x, y, float32(theta[i]))
-					}
-				}
+				res.set(x, y, hx, hy, eps, theta)
 				rowHyps += perPixel
 			}
 			if rowHyps > 0 {
@@ -381,91 +367,6 @@ func pyramidFallback(ctx context.Context, prep *Prepared, opt Options, workers i
 	}
 	st.Hypotheses += atomic.LoadInt64(&extra)
 	return nil
-}
-
-// pyramidTileSize resolves the tile shape for a level, honoring the
-// TileW/TileH overrides like the parallel driver does.
-func pyramidTileSize(p Params, opt Options, w, h, workers int) (int, int) {
-	tw, th := opt.TileW, opt.TileH
-	if side := chooseTileSize(p, w, h, workers); tw <= 0 {
-		tw = side
-		if th <= 0 {
-			th = side
-		}
-	} else if th <= 0 {
-		th = tw
-	}
-	return tw, th
-}
-
-// trackPixelWindow is trackPixelFrom over an explicit rectangular
-// hypothesis window [lox,hix]×[loy,hiy]. The anchor hypothesis — zero
-// displacement clamped into the window — is scored first at an infinite
-// bound, then the window is swept in raster order with the same strict-<
-// acceptance; when the window equals the full ±NZS search window this
-// enumerates exactly trackPixelFrom(x, y, 0, 0)'s sequence, which is what
-// makes the full-radius pyramid configuration bit-identical to the
-// exhaustive search. Batched widths feed the same order through
-// scoreHypLanes in groups of nlanes, mirroring trackPixelBatchFrom.
-func (t *tracker) trackPixelWindow(x, y, lox, hix, loy, hiy int) (hx, hy int, eps float64, theta la.Vec6) {
-	ax := clampInt(0, lox, hix)
-	ay := clampInt(0, loy, hiy)
-	if useReferenceKernel {
-		hx, hy = ax, ay
-		eps, theta = t.scoreReference(x, y, ax, ay)
-		for dy := loy; dy <= hiy; dy++ {
-			for dx := lox; dx <= hix; dx++ {
-				if dx == ax && dy == ay {
-					continue
-				}
-				e, th := t.scoreReference(x, y, dx, dy)
-				if e < eps {
-					eps = e
-					hx, hy = dx, dy
-					theta = th
-				}
-			}
-		}
-		return hx, hy, eps, theta
-	}
-	t.preparePixel(x, y)
-	hx, hy = ax, ay
-	eps, theta, _ = t.scoreHyp(x, y, ax, ay, math.Inf(1))
-	if t.nlanes > 1 {
-		var lhx, lhy [la.BatchLanes]int
-		n := 0
-		for dy := loy; dy <= hiy; dy++ {
-			for dx := lox; dx <= hix; dx++ {
-				if dx == ax && dy == ay {
-					continue
-				}
-				lhx[n], lhy[n] = dx, dy
-				n++
-				if n == t.nlanes {
-					hx, hy, eps, theta = t.scoreHypLanes(x, y, lhx[:n], lhy[:n], hx, hy, eps, theta)
-					n = 0
-				}
-			}
-		}
-		if n > 0 {
-			hx, hy, eps, theta = t.scoreHypLanes(x, y, lhx[:n], lhy[:n], hx, hy, eps, theta)
-		}
-		return hx, hy, eps, theta
-	}
-	for dy := loy; dy <= hiy; dy++ {
-		for dx := lox; dx <= hix; dx++ {
-			if dx == ax && dy == ay {
-				continue
-			}
-			e, th, pruned := t.scoreHyp(x, y, dx, dy, eps)
-			if !pruned && e < eps {
-				eps = e
-				hx, hy = dx, dy
-				theta = th
-			}
-		}
-	}
-	return hx, hy, eps, theta
 }
 
 // medianFloat32 is the lower median of vs (deterministic for even
@@ -536,17 +437,10 @@ func TrackGuided(pair Pair, p Params, prior *grid.VectorField, opt Options) (*Re
 // trackWithPrior runs the hypothesis search with per-pixel search centers
 // taken from a prior flow field (nil means zero centers everywhere).
 func trackWithPrior(prep *Prepared, prior *grid.VectorField, opt Options) *Result {
-	w, h := prep.W, prep.H
-	res := &Result{Flow: grid.NewVectorField(w, h), Err: grid.New(w, h)}
-	if opt.KeepMotion {
-		res.Motion = make([]*grid.Grid, 6)
-		for i := range res.Motion {
-			res.Motion[i] = grid.New(w, h)
-		}
-	}
+	res := newResult(prep.W, prep.H, opt.KeepMotion)
 	t := newTracker(prep, nil, opt)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
+	for y := 0; y < prep.H; y++ {
+		for x := 0; x < prep.W; x++ {
 			bx, by := 0, 0
 			if prior != nil {
 				u, v := prior.At(x, y)
@@ -554,13 +448,7 @@ func trackWithPrior(prep *Prepared, prior *grid.VectorField, opt Options) *Resul
 				by = int(math.Round(float64(v)))
 			}
 			hx, hy, eps, theta := t.trackPixelFrom(x, y, bx, by)
-			res.Flow.Set(x, y, float32(hx), float32(hy))
-			res.Err.Set(x, y, float32(eps))
-			if opt.KeepMotion {
-				for i := range res.Motion {
-					res.Motion[i].Set(x, y, float32(theta[i]))
-				}
-			}
+			res.set(x, y, hx, hy, eps, theta)
 		}
 	}
 	return res

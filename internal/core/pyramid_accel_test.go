@@ -40,7 +40,7 @@ func exhaustiveAgreement(a, b *grid.VectorField) (agree float64, rmse float64) {
 // re-checks end to end: a RefineRadius covering the full search window
 // makes the level-0 sweep enumerate the exhaustive hypothesis set in the
 // exhaustive order, so the result must be bit-identical to TrackPrepared
-// — at every batch width and worker count.
+// — at every worker count.
 func TestPyramidFullRadiusBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -56,22 +56,17 @@ func TestPyramidFullRadiusBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := TrackPrepared(prep, nil, Options{})
-		for _, batch := range []int{0, 1, 3} {
-			for _, workers := range []int{1, 4} {
-				opt := Options{BatchHyps: batch, Pyramid: PyramidOptions{
-					Levels: 3, RefineRadius: 2 * tc.p.SearchRX(),
-				}}
-				got, st, err := TrackPyramidPreparedCtx(context.Background(), prep, opt, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Flow.Equal(want.Flow) || !got.Err.Equal(want.Err) {
-					t.Fatalf("%s batch=%d workers=%d: full-radius pyramid differs from exhaustive",
-						tc.name, batch, workers)
-				}
-				if st.Levels != 3 {
-					t.Fatalf("%s: ran %d levels, want 3", tc.name, st.Levels)
-				}
+		opt := Options{Pyramid: PyramidOptions{Levels: 3, RefineRadius: 2 * tc.p.SearchRX()}}
+		for _, workers := range []int{1, 4} {
+			got, st, err := TrackPyramidPreparedCtx(context.Background(), prep, opt, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Flow.Equal(want.Flow) || !got.Err.Equal(want.Err) {
+				t.Fatalf("%s workers=%d: full-radius pyramid differs from exhaustive", tc.name, workers)
+			}
+			if st.Levels != 3 {
+				t.Fatalf("%s: ran %d levels, want 3", tc.name, st.Levels)
 			}
 		}
 	}

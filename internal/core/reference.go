@@ -3,26 +3,19 @@ package core
 import (
 	"math"
 
-	"sma/internal/grid"
 	"sma/internal/la"
 )
 
 // This file retains the naive per-hypothesis kernel — the direct
 // transcription of the paper's cost model, which re-accumulates and
 // re-eliminates the full 6×6 normal equations for every hypothesis — as
-// the measured baseline for the optimized kernel in track.go. The two are
-// bit-identical by construction (the optimized kernel only hoists
-// hypothesis-invariant arithmetic and stops residual sums that provably
-// cannot win); the conformance tests assert it, and the benchmark
-// trajectory (eval.TrackThroughputExperiment → BENCH_track.json) measures
-// the speedup against this path. Building with `-tags smaref` routes the
-// whole tracker through it.
-//
-// The reference stays deliberately scalar: one hypothesis per pass, no
-// batching, no lane scratch. The batch kernel (batch.go) is pinned to
-// this path's bits at every batch width by the equivalence wall in
-// kernel_equiv_test.go — only Options.Reassoc is allowed to diverge, and
-// only within the tolerance bound documented in docs/PERFORMANCE.md §6.3.
+// the bit-exactness oracle and measured baseline for the optimized kernel
+// in track.go. The two are bit-identical by construction (the optimized
+// kernel only hoists hypothesis-invariant arithmetic and stops residual
+// sums that provably cannot win); the conformance tests assert it, and
+// the benchmark trajectory (eval.TrackThroughputExperiment →
+// BENCH_track.json) measures the speedup against this path. Building
+// with `-tags smaref` routes the whole tracker through it.
 
 // scoreReference evaluates ε(x, y; x+hx, y+hy) by rebuilding and
 // eliminating the full normal equations for this single hypothesis.
@@ -80,31 +73,24 @@ func (t *tracker) scoreReference(x, y, hx, hy int) (eps float64, theta la.Vec6) 
 	return eps, theta
 }
 
-// trackPixelFromReference is trackPixelFrom on the naive kernel: the same
-// search order and tie-breaking, with every hypothesis fully evaluated.
-func (t *tracker) trackPixelFromReference(x, y, bx, by int) (hx, hy int, eps float64, theta la.Vec6) {
-	p := t.prep.P
-	srx := p.SearchRX()
-	sry := p.SearchRY()
-	hx, hy = bx, by
-	eps, theta = t.scoreReference(x, y, bx, by)
-	for dy := -sry; dy <= sry; dy++ {
-		for dx := -srx; dx <= srx; dx++ {
-			if dx == 0 && dy == 0 {
+// trackPixelWindowReference is trackPixelWindow on the naive kernel: the
+// same anchor-first visit order and tie-breaking, with every hypothesis
+// fully evaluated.
+func (t *tracker) trackPixelWindowReference(x, y, ax, ay, lox, hix, loy, hiy int) (hx, hy int, eps float64, theta la.Vec6) {
+	hx, hy = ax, ay
+	eps, theta = t.scoreReference(x, y, ax, ay)
+	for qy := loy; qy <= hiy; qy++ {
+		for qx := lox; qx <= hix; qx++ {
+			if qx == ax && qy == ay {
 				continue
 			}
-			e, th := t.scoreReference(x, y, bx+dx, by+dy)
+			e, th := t.scoreReference(x, y, qx, qy)
 			if e < eps {
 				eps = e
-				hx, hy = bx+dx, by+dy
+				hx, hy = qx, qy
 				theta = th
 			}
 		}
-	}
-	if t.sm != nil {
-		dx, dy := t.sm.Delta(x, y, hx, hy)
-		hx += dx
-		hy += dy
 	}
 	return hx, hy, eps, theta
 }
@@ -114,28 +100,13 @@ func (t *tracker) trackPixelFromReference(x, y, bx, by int) (hx, hy int, eps flo
 // exists for the benchmark trajectory and the optimized-vs-reference
 // equivalence tests; production callers should use TrackPrepared.
 func TrackPreparedReference(prep *Prepared, sm *SemiMap, opt Options) *Result {
-	w, h := prep.W, prep.H
-	res := &Result{
-		Flow: grid.NewVectorField(w, h),
-		Err:  grid.New(w, h),
-	}
-	if opt.KeepMotion {
-		res.Motion = make([]*grid.Grid, 6)
-		for i := range res.Motion {
-			res.Motion[i] = grid.New(w, h)
-		}
-	}
+	res := newResult(prep.W, prep.H, opt.KeepMotion)
 	t := newTracker(prep, sm, opt)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			hx, hy, eps, theta := t.trackPixelFromReference(x, y, 0, 0)
-			res.Flow.Set(x, y, float32(hx), float32(hy))
-			res.Err.Set(x, y, float32(eps))
-			if opt.KeepMotion {
-				for i := range res.Motion {
-					res.Motion[i].Set(x, y, float32(theta[i]))
-				}
-			}
+	t.reference = true
+	for y := 0; y < prep.H; y++ {
+		for x := 0; x < prep.W; x++ {
+			hx, hy, eps, theta := t.trackPixel(x, y)
+			res.set(x, y, hx, hy, eps, theta)
 		}
 	}
 	return res

@@ -22,28 +22,12 @@ func TrackSequential(pair Pair, p Params, opt Options) (*Result, error) {
 // TrackPrepared runs the hypothesis search on already-prepared geometry,
 // letting callers stage (and time) preparation separately.
 func TrackPrepared(prep *Prepared, sm *SemiMap, opt Options) *Result {
-	w, h := prep.W, prep.H
-	res := &Result{
-		Flow: grid.NewVectorField(w, h),
-		Err:  grid.New(w, h),
-	}
-	if opt.KeepMotion {
-		res.Motion = make([]*grid.Grid, 6)
-		for i := range res.Motion {
-			res.Motion[i] = grid.New(w, h)
-		}
-	}
+	res := newResult(prep.W, prep.H, opt.KeepMotion)
 	t := newTracker(prep, sm, opt)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
+	for y := 0; y < prep.H; y++ {
+		for x := 0; x < prep.W; x++ {
 			hx, hy, eps, theta := t.trackPixel(x, y)
-			res.Flow.Set(x, y, float32(hx), float32(hy))
-			res.Err.Set(x, y, float32(eps))
-			if opt.KeepMotion {
-				for i := range res.Motion {
-					res.Motion[i].Set(x, y, float32(theta[i]))
-				}
-			}
+			res.set(x, y, hx, hy, eps, theta)
 		}
 	}
 	return res

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"sma/internal/grid"
 	"sma/internal/la"
 	"sma/internal/maspar"
 )
@@ -83,7 +82,7 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 	nkN := gather(g1.Nk, rQ)
 
 	// Lockstep hypothesis search per layer using gathered data only.
-	res := &Result{Flow: grid.NewVectorField(w, h), Err: grid.New(w, h)}
+	res := newResult(w, h, false)
 	nproc := m.Cfg.NProc()
 	oc := CountOps(p, 2)
 	trx := p.TemplateRX()
@@ -91,15 +90,12 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 	srx := p.SearchRX()
 	sry := p.SearchRY()
 	nbuf := make([]float64, (2*trx+1)*(2*try+1)*bufStride)
-	lrhs := make([]float64, (2*trx+1)*(2*try+1)*laneRHSStride)
 	for l := 0; l < mp.Layers(); l++ {
 		for pe := 0; pe < nproc; pe++ {
 			x, y := mp.Invert(pe, l)
 			if x >= w || y >= h {
 				continue
 			}
-			bestE := math.Inf(1)
-			bestHX, bestHY := 0, 0
 			// Hypothesis-invariant pass: the gathered before-geometry and
 			// the normal-equation matrix depend only on (x, y), so cache
 			// the template invariants, accumulate A and factor it once —
@@ -149,73 +145,20 @@ func TrackSIMDContinuous(m *maspar.Machine, pair Pair, p Params, scheme maspar.F
 				theta := mf.solveFactored(&b)
 				return residualSumBounded(nbuf[:k], &theta, bound)
 			}
-			// Batched lockstep sweep: like scoreHypLanes, the gathered
-			// template invariants are loaded once per pixel and feed up to
-			// la.BatchLanes hypotheses' b accumulations; lanes fold into
-			// the incumbent in order, so the result bits match the scalar
-			// sweep exactly.
-			scoreLanes := func(lhx, lhy []int, bhx, bhy int, beps float64) (int, int, float64) {
-				L := len(lhx)
-				var bb la.Vec6Lanes
-				k, r := 0, 0
-				for dy := -try; dy <= try; dy++ {
-					for dx := -trx; dx <= trx; dx++ {
-						zx := nbuf[k+bufZx]
-						zy := nbuf[k+bufZy]
-						scale := nbuf[k+bufScale]
-						w0 := nbuf[k+bufW0]
-						w1 := nbuf[k+bufW1]
-						for l := 0; l < L; l++ {
-							ni := float64(niN.At(x, y, dx+lhx[l], dy+lhy[l]))
-							nj := float64(njN.At(x, y, dx+lhx[l], dy+lhy[l]))
-							nk := float64(nkN.At(x, y, dx+lhx[l], dy+lhy[l]))
-							rhs0 := scale*ni + zx
-							rhs1 := scale*nj + zy
-							rhs2 := scale*nk - 1
-							bb[2][l] += w0 * zy * rhs0
-							bb[3][l] += w0 * -zx * rhs0
-							bb[4][l] += w0 * -rhs0
-							bb[0][l] += w1 * -zy * rhs1
-							bb[1][l] += w1 * zx * rhs1
-							bb[5][l] += w1 * -rhs1
-							bb[0][l] += rhs2
-							bb[3][l] += rhs2
-							lrhs[r+l] = rhs0
-							lrhs[r+la.BatchLanes+l] = rhs1
-							lrhs[r+2*la.BatchLanes+l] = rhs2
-						}
-						k += bufStride
-						r += laneRHSStride
-					}
-				}
-				thetas := mf.solveFactoredLanes(&bb, L)
-				for l := 0; l < L; l++ {
-					theta := thetas.Vec(l)
-					if e, pruned := residualSumBoundedLane(nbuf[:k], lrhs, l, &theta, beps); !pruned && e < beps {
-						beps = e
-						bhx, bhy = lhx[l], lhy[l]
-					}
-				}
-				return bhx, bhy, beps
-			}
-			bestE, _ = score(0, 0, math.Inf(1))
-			var lhx, lhy [la.BatchLanes]int
-			nb := 0
+			// Lockstep sweep in the host tracker's order: zero hypothesis
+			// first, then raster order with strict-< acceptance.
+			bestHX, bestHY := 0, 0
+			bestE, _ := score(0, 0, math.Inf(1))
 			for hy := -sry; hy <= sry; hy++ {
 				for hx := -srx; hx <= srx; hx++ {
 					if hx == 0 && hy == 0 {
 						continue
 					}
-					lhx[nb], lhy[nb] = hx, hy
-					nb++
-					if nb == la.BatchLanes {
-						bestHX, bestHY, bestE = scoreLanes(lhx[:nb], lhy[:nb], bestHX, bestHY, bestE)
-						nb = 0
+					if e, pruned := score(hx, hy, bestE); !pruned && e < bestE {
+						bestE = e
+						bestHX, bestHY = hx, hy
 					}
 				}
-			}
-			if nb > 0 {
-				bestHX, bestHY, bestE = scoreLanes(lhx[:nb], lhy[:nb], bestHX, bestHY, bestE)
 			}
 			res.Flow.Set(x, y, float32(bestHX), float32(bestHY))
 			res.Err.Set(x, y, float32(bestE))

@@ -158,3 +158,52 @@ func TestTrackParallelCtxCancelled(t *testing.T) {
 		t.Fatalf("pre-cancelled run: res=%v err=%v, want (nil, context.Canceled)", res, err)
 	}
 }
+
+// TestTileParallelBitIdentical sweeps tile shapes × worker counts over
+// the tile-scheduled parallel driver and demands the bits of the serial
+// kernel — the scheduling layer must be invisible in the output.
+func TestTileParallelBitIdentical(t *testing.T) {
+	p := testParams()
+	s := synth.Hurricane(22, 22, 93)
+	prep, err := Prepare(Monocular(s.Frame(0), s.Frame(1)), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := BuildSemiMap(prep)
+	opt := Options{KeepMotion: true}
+	want := TrackPrepared(prep, sm, opt)
+	tiles := []struct{ tw, th int }{
+		{0, 0},   // chooseTileSize default, through TrackPreparedParallel
+		{1, 1},   // degenerate: one pixel per tile
+		{5, 3},   // non-square, non-divisor of 22
+		{22, 1},  // row strips (the old fan-out shape)
+		{64, 64}, // single tile larger than the image
+	}
+	for _, tl := range tiles {
+		for _, workers := range []int{1, 2, 3, 8} {
+			name := fmt.Sprintf("tile=%dx%d/workers=%d", tl.tw, tl.th, workers)
+			t.Run(name, func(t *testing.T) {
+				var got *Result
+				if tl.tw == 0 {
+					got = TrackPreparedParallel(prep, sm, opt, workers)
+				} else {
+					var err error
+					if got, err = trackTiled(context.Background(), prep, sm, opt, workers, tl.tw, tl.th); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !got.Flow.Equal(want.Flow) {
+					t.Fatal("flow differs from serial kernel")
+				}
+				if !got.Err.Equal(want.Err) {
+					t.Fatal("ε differs from serial kernel")
+				}
+				for i := range want.Motion {
+					if !got.Motion[i].Equal(want.Motion[i]) {
+						t.Fatalf("motion grid %d differs from serial kernel", i)
+					}
+				}
+			})
+		}
+	}
+}

@@ -22,25 +22,6 @@ type Options struct {
 	// across goroutines on the host (0 or 1 = serial). Results are
 	// independent of the worker count.
 	HostWorkers int
-	// BatchHyps is the multi-hypothesis batch width: the number of
-	// correspondence hypotheses scored per pass over the cached template
-	// invariants (docs/PERFORMANCE.md §6). 0 selects the default width
-	// (la.BatchLanes); 1 disables batching; larger values are clamped to
-	// la.BatchLanes. Every width is bit-identical to the reference
-	// kernel — the batch only reorders memory traffic, never arithmetic.
-	BatchHyps int
-	// Reassoc enables the tolerance-checked fast accumulation: the ε
-	// residual sum uses 4-way reassociated partial accumulators instead
-	// of the reference kernel's strictly sequential sum. NOT bit-exact —
-	// ε can differ by a few ULPs and near-tied argmins can flip; the
-	// quantified error bound and the tests that enforce it are in
-	// docs/PERFORMANCE.md §6.3. Off (bit-exact) is the default
-	// everywhere, including every SMF1-producing path.
-	Reassoc bool
-	// TileW/TileH override the pixel-tile size of the parallel driver
-	// (0 = the cache-model default of chooseTileSize). Tiling is pure
-	// scheduling: results are bit-identical at every tile shape.
-	TileW, TileH int
 	// Pyramid enables the coarse-to-fine multiresolution hypothesis
 	// search in the parallel driver (pyramid.go). The zero value keeps
 	// the exhaustive — and bit-exact — search, like every other default.
@@ -93,15 +74,10 @@ type tracker struct {
 	// mf is the factored normal-equation matrix of the current pixel.
 	mf motionFactor
 
-	// nlanes is the effective multi-hypothesis batch width (1 = scalar
-	// search loop, >1 = scoreHypLanes batches). Fixed at construction.
-	nlanes int
-
-	// laneRHS is the per-lane right-hand-side scratch of the batch
-	// kernel, in structure-of-arrays form: pixel k, residual row c, lane
-	// l lives at [(k*3+c)*la.BatchLanes + l], so each row's lane stripe
-	// is contiguous. nil when nlanes == 1.
-	laneRHS []float64
+	// reference routes every score through the naive kernel in
+	// reference.go (TrackPreparedReference, or any tracker in a
+	// -tags smaref build).
+	reference bool
 
 	// noEarlyExit disables the ε early exit (test hook: the argmin must be
 	// bit-identical with the exit on and off).
@@ -123,42 +99,19 @@ const (
 	bufStride = 8
 )
 
-// newTracker builds a tracker with its scratch buffers pre-sized for the
-// template window and batch width, keeping score/trackPixel
-// allocation-free.
+// newTracker builds a tracker with its scratch buffer pre-sized for the
+// template window, keeping score/trackPixel allocation-free.
 func newTracker(prep *Prepared, sm *SemiMap, opt Options) *tracker {
-	p := prep.P
-	n := (2*p.TemplateRX() + 1) * (2*p.TemplateRY() + 1)
-	t := &tracker{prep: prep, sm: sm, opt: opt,
-		buf: make([]float64, n*bufStride), nlanes: effectiveBatch(opt)}
-	if t.nlanes > 1 {
-		t.laneRHS = make([]float64, n*3*la.BatchLanes)
-	}
-	return t
-}
-
-// effectiveBatch resolves Options.BatchHyps to the batch width the
-// tracker will run: 0 means the default full width, anything below 1
-// disables batching, anything above la.BatchLanes is clamped to it.
-func effectiveBatch(opt Options) int {
-	b := opt.BatchHyps
-	if b == 0 {
-		b = la.BatchLanes
-	}
-	if b < 1 {
-		b = 1
-	}
-	if b > la.BatchLanes {
-		b = la.BatchLanes
-	}
-	return b
+	n := prep.P.TemplatePixels()
+	return &tracker{prep: prep, sm: sm, opt: opt,
+		buf: make([]float64, n*bufStride), reference: useReferenceKernel}
 }
 
 // score evaluates ε(x, y; x+hx, y+hy) and the fitted motion parameters.
 // Standalone single-hypothesis entry point; the search loop calls
 // preparePixel once and scoreHyp per hypothesis instead.
 func (t *tracker) score(x, y, hx, hy int) (eps float64, theta la.Vec6) {
-	if useReferenceKernel {
+	if t.reference {
 		return t.scoreReference(x, y, hx, hy)
 	}
 	t.preparePixel(x, y)
@@ -309,11 +262,7 @@ func (t *tracker) scoreHyp(x, y, hx, hy int, bound float64) (eps float64, theta 
 	if t.noEarlyExit {
 		bound = math.Inf(1)
 	}
-	if t.opt.Reassoc {
-		eps, pruned = residualSumBoundedReassoc(buf, &theta, bound)
-	} else {
-		eps, pruned = residualSumBounded(buf, &theta, bound)
-	}
+	eps, pruned = residualSumBounded(buf, &theta, bound)
 	return eps, theta, pruned
 }
 
@@ -408,38 +357,6 @@ func residualSumBounded(buf []float64, th *la.Vec6, bound float64) (eps float64,
 		}
 	}
 	return eps, false
-}
-
-// residualSumBoundedReassoc is the tolerance-checked variant of
-// residualSumBounded (Options.Reassoc): four partial accumulators take
-// template pixels round-robin and are combined as ((s0+s1)+s2)+s3 —
-// the reassociation a SIMD horizontal reduction performs. Every term is
-// still a non-negative weighted square, so any combined prefix is a
-// lower bound on the full sum and pruning stays sound; but the addition
-// order differs from the reference kernel, so ε agrees only to the
-// reassociation error bound (docs/PERFORMANCE.md §6.3), not bitwise.
-// The bound check runs once per 4-pixel block.
-func residualSumBoundedReassoc(buf []float64, th *la.Vec6, bound float64) (eps float64, pruned bool) {
-	var s0, s1, s2, s3 float64
-	k := 0
-	for ; k+4*bufStride <= len(buf); k += 4 * bufStride {
-		r0, r1, r2 := rowResiduals(buf, k, th)
-		s0 += r0 + r1 + r2
-		r0, r1, r2 = rowResiduals(buf, k+bufStride, th)
-		s1 += r0 + r1 + r2
-		r0, r1, r2 = rowResiduals(buf, k+2*bufStride, th)
-		s2 += r0 + r1 + r2
-		r0, r1, r2 = rowResiduals(buf, k+3*bufStride, th)
-		s3 += r0 + r1 + r2
-		if eps = ((s0 + s1) + s2) + s3; eps >= bound {
-			return eps, true
-		}
-	}
-	for ; k < len(buf); k += bufStride {
-		r0, r1, r2 := rowResiduals(buf, k, th)
-		s0 += r0 + r1 + r2
-	}
-	return ((s0 + s1) + s2) + s3, false
 }
 
 // robustRefine performs one Huber re-weighted least-squares step on the
@@ -581,43 +498,52 @@ func (t *tracker) trackPixel(x, y int) (hx, hy int, eps float64, theta la.Vec6) 
 	return t.trackPixelFrom(x, y, 0, 0)
 }
 
-// trackPixelFrom searches the hypothesis window centered at offset
-// (bx, by) instead of zero — the prior-guided search the hierarchical
-// (coarse-to-fine) extension uses at finer pyramid levels.
-//
-// The hypothesis-invariant work (template geometry, matrix accumulation
-// and factorization) runs once here; each hypothesis then costs one
-// b-pass, one substitution and one (early-exiting) residual sum.
+// trackPixelFrom searches the ±NZS hypothesis window centered at offset
+// (bx, by) instead of zero — the prior-guided search TrackGuided and the
+// temporal sequence tracker use — and adds the tracked pixel's own
+// semi-fluid adjustment to the winner.
 func (t *tracker) trackPixelFrom(x, y, bx, by int) (hx, hy int, eps float64, theta la.Vec6) {
-	if useReferenceKernel {
-		return t.trackPixelFromReference(x, y, bx, by)
-	}
-	if t.nlanes > 1 {
-		return t.trackPixelBatchFrom(x, y, bx, by)
-	}
 	p := t.prep.P
-	srx := p.SearchRX()
-	sry := p.SearchRY()
-	t.preparePixel(x, y)
-	hx, hy = bx, by
-	eps, theta, _ = t.scoreHyp(x, y, bx, by, math.Inf(1))
-	for dy := -sry; dy <= sry; dy++ {
-		for dx := -srx; dx <= srx; dx++ {
-			if dx == 0 && dy == 0 {
-				continue
-			}
-			e, th, pruned := t.scoreHyp(x, y, bx+dx, by+dy, eps)
-			if !pruned && e < eps {
-				eps = e
-				hx, hy = bx+dx, by+dy
-				theta = th
-			}
-		}
-	}
+	srx, sry := p.SearchRX(), p.SearchRY()
+	hx, hy, eps, theta = t.trackPixelWindow(x, y, bx, by, bx-srx, bx+srx, by-sry, by+sry)
 	if t.sm != nil {
 		dx, dy := t.sm.Delta(x, y, hx, hy)
 		hx += dx
 		hy += dy
+	}
+	return hx, hy, eps, theta
+}
+
+// trackPixelWindow is the one hypothesis search every driver runs. The
+// anchor hypothesis (ax, ay) is scored first at an infinite bound, then
+// the rectangular window [lox,hix]×[loy,hiy] is swept in raster order,
+// skipping the anchor, with strict-< acceptance — so ties break toward
+// the anchor, then scan order. The ±NZS window centered on a zero
+// anchor is the exhaustive search; the pyramid levels pass clamped
+// refinement windows.
+//
+// The hypothesis-invariant work (template geometry, matrix accumulation
+// and factorization) runs once here; each hypothesis then costs one
+// b-pass, one substitution and one (early-exiting) residual sum.
+func (t *tracker) trackPixelWindow(x, y, ax, ay, lox, hix, loy, hiy int) (hx, hy int, eps float64, theta la.Vec6) {
+	if t.reference {
+		return t.trackPixelWindowReference(x, y, ax, ay, lox, hix, loy, hiy)
+	}
+	t.preparePixel(x, y)
+	hx, hy = ax, ay
+	eps, theta, _ = t.scoreHyp(x, y, ax, ay, math.Inf(1))
+	for qy := loy; qy <= hiy; qy++ {
+		for qx := lox; qx <= hix; qx++ {
+			if qx == ax && qy == ay {
+				continue
+			}
+			e, th, pruned := t.scoreHyp(x, y, qx, qy, eps)
+			if !pruned && e < eps {
+				eps = e
+				hx, hy = qx, qy
+				theta = th
+			}
+		}
 	}
 	return hx, hy, eps, theta
 }

@@ -41,14 +41,24 @@ echo "== golden + stream equivalence (-race)"
 go test -race -run 'Golden|Stream|TrackStats|PrepareFrame' \
     ./internal/core ./internal/stream ./internal/sequence || fail=1
 
-# The batch-kernel equivalence wall and tile-scheduler properties
-# (docs/PERFORMANCE.md §6–7): every batch width and tile shape
-# bit-identical to the reference, tolerance mode inside its bound, the
-# work-stealing scheduler leak- and race-free — run by name under the
-# race detector so a -run filter above can never silently drop them.
-echo "== batch kernel + tile scheduler (-race)"
-go test -race -run 'Batch|Tile|Reassoc|BitExact|Lanes' \
+# The kernel equivalence and tile-scheduler properties
+# (docs/PERFORMANCE.md §6–7): the optimized kernel bit-identical to the
+# reference, from the zero anchor and from prior-guided anchors and
+# refine windows, the ε early exit invisible, every tile shape and the
+# full-radius pyramid bit-identical to the serial sweep, the factored
+# solve equal to the direct one, the work-stealing scheduler leak- and
+# race-free — run by name under the race detector so a -run filter above
+# can never silently drop them.
+echo "== kernel equivalence + tile scheduler (-race)"
+go test -race -run 'OptimizedKernel|WindowSearch|EarlyExit|Tile|PyramidFullRadius|MotionFactor|FactoredSolve|SolveFactored' \
     ./internal/core ./internal/la || fail=1
+
+# The smaref build routes every driver through the reference kernel;
+# nothing else compiles that routing, so check it here against the
+# golden fixtures and the equivalence tests.
+echo "== reference-kernel build (-tags smaref)"
+go test -tags smaref -run 'Golden|OptimizedKernel|PyramidFullRadius' \
+    ./internal/core || fail=1
 
 # The robustness lock (docs/ROBUSTNESS.md): fault injection, degraded-
 # mode counters/bit-identity, pair isolation, and pool drain/TTL races,
